@@ -37,6 +37,34 @@ double SecondsBetween(SteadyClock::time_point a, SteadyClock::time_point b) {
 const std::vector<double> kStageSecondsBuckets = {
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60};
 
+// The compiler envelope of every serve compilation (mirrors the CLI).
+ZkmlOptions CompileOptions(const ServeOptions& options, uint8_t backend) {
+  ZkmlOptions zo;
+  zo.backend = backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
+  zo.optimizer.backend = zo.backend;
+  zo.optimizer.min_columns = options.optimizer_min_columns;
+  zo.optimizer.max_columns = options.optimizer_max_columns;
+  zo.optimizer.max_k = options.optimizer_max_k;
+  return zo;
+}
+
+// Cache key of one compiled circuit, `hash[:batchN|:shardI/K]:backend`. A
+// batched or per-shard circuit is a different circuit from the model's
+// single-inference one, so each caches under its own variant suffix.
+std::string CircuitKey(const std::string& model_hash, const std::string& variant,
+                       uint8_t backend) {
+  return model_hash + variant + (backend == 1 ? ":ipa" : ":kzg");
+}
+
+// What one worker pass proves: shards > 1 is one inference as a
+// zkml.sharded_proof/v1 artifact (ZKSH), batch > 1 is `batch` inferences as
+// a zkml.batched_proof/v1 artifact (ZKBP), and anything else is one
+// inference as a raw single-circuit proof.
+struct ProofPlan {
+  size_t shards = 1;
+  size_t batch = 1;
+};
+
 }  // namespace
 
 // One admitted prove job. The handler thread blocks on `done`; the worker
@@ -748,13 +776,16 @@ void ZkmlServer::WorkerLoop(int worker_index) {
       running_.push_back(group.front());
       // Request coalescing: claim queued jobs for the same (model, backend)
       // so one batched circuit proves them all. Only whole jobs are claimed —
-      // anything incompatible stays queued for another worker.
+      // anything incompatible stays queued for another worker. The group
+      // proves under the lead's token, so a job that would expire before the
+      // lead is not claimed.
       if (options_.coalesce_max > 1 && coalescable(*group.front())) {
         const Job& lead = *group.front();
         for (auto it = queue_.begin();
              it != queue_.end() && group.size() < options_.coalesce_max;) {
           Job& j = **it;
-          if (coalescable(j) && j.request.backend == lead.request.backend &&
+          if (coalescable(j) && j.deadline_tp >= lead.deadline_tp &&
+              j.request.backend == lead.request.backend &&
               j.request.model_text == lead.request.model_text) {
             j.worker.store(worker_index, std::memory_order_relaxed);
             running_.push_back(*it);
@@ -767,11 +798,7 @@ void ZkmlServer::WorkerLoop(int worker_index) {
       }
     }
 
-    if (group.size() == 1) {
-      ExecuteJob(group.front());
-    } else {
-      ExecuteCoalescedJobs(group);
-    }
+    ExecuteGroup(group);
 
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
@@ -785,31 +812,38 @@ void ZkmlServer::WorkerLoop(int worker_index) {
   }
 }
 
-void ZkmlServer::ExecuteJob(const std::shared_ptr<Job>& job) {
-  // Trace sampling: every Nth admitted job runs under its own Tracer; the
-  // scope must close before export so all spans are complete.
-  const bool sampled = options_.trace_sample_every > 0 &&
-                       (job->id - 1) % options_.trace_sample_every == 0;
+void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
+  // Trace sampling: every Nth admitted job is sampled. A group with a sampled
+  // member runs under one Tracer, and every sampled member gets the trace in
+  // /tracez. The scope must close before export so all spans are complete.
+  const auto sampled = [this](const Job& job) {
+    return options_.trace_sample_every > 0 &&
+           (job.id - 1) % options_.trace_sample_every == 0;
+  };
   std::optional<obs::Tracer> tracer;
-  if (sampled) tracer.emplace();
+  if (std::any_of(group.begin(), group.end(), [&](const auto& j) { return sampled(*j); })) {
+    tracer.emplace();
+  }
   {
     std::optional<obs::TracerScope> scope;
     if (tracer) scope.emplace(&*tracer);
-    ExecuteJobInner(job);
-  }
-  if (tracer) {
-    obs::Json doc = tracer->ToReportJson();
-    doc.Set("job_id", job->id);
-    doc.Set("request_id", job->request_id);
-    doc.Set("outcome", job->ok ? "ok" : WireErrorCodeName(job->error.code));
-    if (!job->ok) doc.Set("error_stage", WireStageName(job->error.stage));
-    trace_ring_.Add(std::move(doc));
+    ProveGroup(group);
   }
 
-  if (event_log_ != nullptr) {
+  for (const auto& job : group) {
+    if (tracer && sampled(*job)) {
+      obs::Json doc = tracer->ToReportJson();
+      doc.Set("job_id", job->id);
+      doc.Set("request_id", job->request_id);
+      doc.Set("outcome", job->ok ? "ok" : WireErrorCodeName(job->error.code));
+      if (!job->ok) doc.Set("error_stage", WireStageName(job->error.stage));
+      trace_ring_.Add(std::move(doc));
+    }
+    if (event_log_ == nullptr) continue;
     obs::Json fields = obs::Json::Object();
     fields.Set("job_id", job->id);
     fields.Set("request_id", job->request_id);
+    if (group.size() > 1) fields.Set("coalesced", static_cast<uint64_t>(group.size()));
     fields.Set("elapsed_s", SecondsBetween(job->enqueued, SteadyClock::now()));
     const char* event = "job_completed";
     if (!job->ok) {
@@ -827,651 +861,280 @@ void ZkmlServer::ExecuteJob(const std::shared_ptr<Job>& job) {
   }
 }
 
-void ZkmlServer::ExecuteJobInner(const std::shared_ptr<Job>& job) {
+void ZkmlServer::ProveGroup(const std::vector<std::shared_ptr<Job>>& group) {
   const auto started = SteadyClock::now();
-  const uint64_t queue_micros = MicrosBetween(job->enqueued, started);
-  counters_->stage_admission->Record(static_cast<double>(queue_micros) / 1e6);
 
-  auto fail = [&](WireErrorCode code, WireStage stage, std::string message) {
-    job->ok = false;
-    job->error = {code, stage, std::move(message)};
+  // Fails one member and bumps the counter its error code belongs to.
+  const auto fail = [this](Job& job, WireErrorCode code, WireStage stage, std::string message) {
+    switch (code) {
+      case WireErrorCode::kCancelled: counters_->jobs_cancelled.Inc(); break;
+      case WireErrorCode::kDeadlineExceeded: counters_->jobs_deadline_exceeded.Inc(); break;
+      case WireErrorCode::kInternal: counters_->jobs_failed_internal.Inc(); break;
+      default: counters_->jobs_rejected_malformed.Inc(); break;
+    }
+    job.ok = false;
+    job.error = {code, stage, std::move(message)};
   };
-  // Maps a cancellation Status onto the wire: watchdog/drain Cancel() →
-  // CANCELLED, expired budget → DEADLINE_EXCEEDED. The Status message names
-  // the checkpoint that noticed (e.g. "deadline exceeded at quotient").
-  auto fail_cancel = [&](const Status& s, WireStage stage) {
+  // Maps a failed Status onto the wire: watchdog/drain Cancel() → CANCELLED,
+  // expired budget → DEADLINE_EXCEEDED, anything else → INTERNAL. The Status
+  // message names the checkpoint that noticed (e.g. "deadline exceeded at
+  // quotient").
+  const auto fail_status = [&](Job& job, const Status& s, WireStage stage) {
     if (s.code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc();
-      fail(WireErrorCode::kCancelled, stage,
-           job->reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
-                                                       : s.message());
+      fail(job, WireErrorCode::kCancelled, stage,
+           job.reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
+                                                      : s.message());
+    } else if (s.code() == StatusCode::kDeadlineExceeded) {
+      fail(job, WireErrorCode::kDeadlineExceeded, stage, s.message());
     } else {
-      counters_->jobs_deadline_exceeded.Inc();
-      fail(WireErrorCode::kDeadlineExceeded, stage, s.message());
+      fail(job, WireErrorCode::kInternal, stage, s.message());
     }
   };
 
-  // A job whose budget evaporated in the queue is shed before any work.
-  Status live = job->cancel->Check("queue-wait");
-  if (!live.ok()) {
-    fail_cancel(live, WireStage::kAdmission);
-    return;
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kModelParse), std::memory_order_relaxed);
-  StatusOr<Model> model = DeserializeModel(job->request.model_text);
-  if (!model.ok()) {
-    counters_->jobs_rejected_malformed.Inc();
-    fail(WireErrorCode::kMalformedModel, WireStage::kModelParse, model.status().message());
-    return;
-  }
-
-  if (job->request.batch > 1 && job->request.shards > 1) {
-    counters_->jobs_rejected_malformed.Inc();
-    fail(WireErrorCode::kMalformedRequest, WireStage::kModelParse,
-         "request asks for both sharded (" + std::to_string(job->request.shards) +
-             ") and batched (" + std::to_string(job->request.batch) +
-             ") proving; pick one");
-    return;
-  }
-
-  // Batched multi-inference proving: one circuit proves `batch` inferences
-  // and the response carries a zkml.batched_proof/v1 artifact.
-  if (job->request.batch > 1) {
-    ExecuteBatchedJob(job, *model, job->request.batch, queue_micros, started);
-    return;
-  }
-
-  // Sharded proving takes its own pipeline: per-shard compilations flow
-  // through the cache under shard-suffixed keys, and the response carries a
-  // zkml.sharded_proof/v1 artifact. A request for >1 shards on a model whose
-  // graph admits no cut falls back to the single-circuit path (shards = 1 in
-  // the response tells the client what actually ran).
-  if (job->request.shards > 1) {
-    const size_t k = ResolveShardCount(*model, job->request.shards);
-    if (k > 1) {
-      ExecuteShardedJob(job, *model, k, queue_micros, started);
-      return;
-    }
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kCompile), std::memory_order_relaxed);
-  const auto compile_start = SteadyClock::now();
-  const std::string key =
-      ModelHashHex(job->request.model_text) + (job->request.backend == 1 ? ":ipa" : ":kzg");
-  bool cache_hit = true;
-  StatusOr<std::shared_ptr<const CompiledModel>> compiled = [&] {
-    obs::Span span("serve.compile");
-    return cache_.GetOrCompile(key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-      cache_hit = false;
-      ZkmlOptions zo;
-      zo.backend = job->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-      zo.optimizer.backend = zo.backend;
-      zo.optimizer.min_columns = options_.optimizer_min_columns;
-      zo.optimizer.max_columns = options_.optimizer_max_columns;
-      zo.optimizer.max_k = options_.optimizer_max_k;
-      return std::make_shared<const CompiledModel>(CompileModel(*model, zo));
-    });
-  }();
-  counters_->stage_compile->Record(SecondsBetween(compile_start, SteadyClock::now()));
-  if (!compiled.ok()) {
-    counters_->jobs_failed_internal.Inc();
-    fail(WireErrorCode::kInternal, WireStage::kCompile, compiled.status().message());
-    return;
-  }
-  live = job->cancel->Check("compile");
-  if (!live.ok()) {
-    fail_cancel(live, WireStage::kCompile);
-    return;
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kWitness), std::memory_order_relaxed);
-  const auto witness_start = SteadyClock::now();
-  const Model& m = (*compiled)->model;
-  Tensor<int64_t> input_q;
-  {
-    obs::Span span("serve.witness");
-    if (!job->request.input.empty()) {
-      if (static_cast<int64_t>(job->request.input.size()) != m.input_shape.NumElements()) {
-        counters_->jobs_rejected_malformed.Inc();
-        fail(WireErrorCode::kInputMismatch, WireStage::kWitness,
-             "input has " + std::to_string(job->request.input.size()) +
-                 " elements, model wants " + std::to_string(m.input_shape.NumElements()));
-        return;
-      }
-      input_q = Tensor<int64_t>(m.input_shape, std::move(job->request.input));
-    } else {
-      input_q = QuantizeTensor(SyntheticInput(m, job->request.seed), m.quant);
-    }
-  }
-  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kProve), std::memory_order_relaxed);
-  const auto prove_start = SteadyClock::now();
-  StatusOr<ZkmlProof> proof = [&] {
-    obs::Span span("serve.prove");
-    return ProveCancellable(**compiled, input_q, job->cancel.get());
-  }();
-  counters_->stage_prove->Record(SecondsBetween(prove_start, SteadyClock::now()));
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled ||
-        proof.status().code() == StatusCode::kDeadlineExceeded) {
-      fail_cancel(proof.status(), WireStage::kProve);
-    } else {
-      counters_->jobs_failed_internal.Inc();
-      fail(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    return;
-  }
-
-  if (!options_.report_dir.empty()) {
-    WriteJobReport(*job, **compiled, *proof);
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kRespond), std::memory_order_relaxed);
-  const auto finished = SteadyClock::now();
-  job->response.proof = std::move(proof->bytes);
-  job->response.instance = std::move(proof->instance);
-  job->response.output = proof->output_q.ToVector();
-  job->response.queue_micros = queue_micros;
-  job->response.prove_micros = MicrosBetween(started, finished);
-  job->response.cache_hit = cache_hit ? 1 : 0;
-  job->response.shards = 1;
-  job->ok = true;
-  counters_->jobs_completed.Inc();
-  counters_->job_seconds->Record(
-      std::chrono::duration<double>(finished - job->enqueued).count());
-}
-
-void ZkmlServer::ExecuteShardedJob(const std::shared_ptr<Job>& job, const Model& model,
-                                   size_t num_shards, uint64_t queue_micros,
-                                   SteadyClock::time_point started) {
-  auto fail = [&](WireErrorCode code, WireStage stage, std::string message) {
-    job->ok = false;
-    job->error = {code, stage, std::move(message)};
-  };
-  auto fail_cancel = [&](const Status& s, WireStage stage) {
-    if (s.code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc();
-      fail(WireErrorCode::kCancelled, stage,
-           job->reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
-                                                       : s.message());
-    } else {
-      counters_->jobs_deadline_exceeded.Inc();
-      fail(WireErrorCode::kDeadlineExceeded, stage, s.message());
-    }
-  };
-
-  job->shards_total.store(static_cast<uint32_t>(num_shards), std::memory_order_relaxed);
-  job->stage.store(static_cast<uint8_t>(WireStage::kCompile), std::memory_order_relaxed);
-  const auto compile_start = SteadyClock::now();
-
-  ZkmlOptions zo;
-  zo.backend = job->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-  zo.optimizer.backend = zo.backend;
-  zo.optimizer.min_columns = options_.optimizer_min_columns;
-  zo.optimizer.max_columns = options_.optimizer_max_columns;
-  zo.optimizer.max_k = options_.optimizer_max_k;
-
-  StatusOr<ModelPartition> partition = PartitionModel(model, num_shards);
-  if (!partition.ok()) {
-    counters_->jobs_failed_internal.Inc();
-    fail(WireErrorCode::kInternal, WireStage::kCompile, partition.status().message());
-    return;
-  }
-
-  // Each shard's circuit is cached independently under a shard-suffixed key,
-  // so repeat sharded jobs (and jobs at the same shard count from other
-  // connections) reuse every per-shard compilation.
-  CompiledShardedModel sharded;
-  sharded.model = model;
-  sharded.backend = zo.backend;
-  sharded.shards.resize(num_shards);
-  const std::string key_base = ModelHashHex(job->request.model_text);
-  const std::string backend_tag = job->request.backend == 1 ? ":ipa" : ":kzg";
-  bool cache_hit = true;
-  {
-    obs::Span span("serve.compile");
-    for (size_t i = 0; i < num_shards; ++i) {
-      const std::string key = key_base + ":shard" + std::to_string(i) + "/" +
-                              std::to_string(num_shards) + backend_tag;
-      StatusOr<std::shared_ptr<const CompiledModel>> compiled = cache_.GetOrCompile(
-          key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-            cache_hit = false;
-            return std::make_shared<const CompiledModel>(
-                CompileModel(partition->shards[i].model, zo));
-          });
-      if (!compiled.ok()) {
-        counters_->jobs_failed_internal.Inc();
-        fail(WireErrorCode::kInternal, WireStage::kCompile,
-             "shard " + std::to_string(i) + "/" + std::to_string(num_shards) + ": " +
-                 compiled.status().message());
-        return;
-      }
-      sharded.shards[i] = std::move(*compiled);
-      Status live = job->cancel->Check("compile");
-      if (!live.ok()) {
-        fail_cancel(live, WireStage::kCompile);
-        return;
-      }
-    }
-  }
-  sharded.partition = std::move(*partition);
-  sharded.compile_seconds = SecondsBetween(compile_start, SteadyClock::now());
-  counters_->stage_compile->Record(sharded.compile_seconds);
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kWitness), std::memory_order_relaxed);
-  const auto witness_start = SteadyClock::now();
-  Tensor<int64_t> input_q;
-  {
-    obs::Span span("serve.witness");
-    if (!job->request.input.empty()) {
-      if (static_cast<int64_t>(job->request.input.size()) != model.input_shape.NumElements()) {
-        counters_->jobs_rejected_malformed.Inc();
-        fail(WireErrorCode::kInputMismatch, WireStage::kWitness,
-             "input has " + std::to_string(job->request.input.size()) +
-                 " elements, model wants " + std::to_string(model.input_shape.NumElements()));
-        return;
-      }
-      input_q = Tensor<int64_t>(model.input_shape, std::move(job->request.input));
-    } else {
-      input_q = QuantizeTensor(SyntheticInput(model, job->request.seed), model.quant);
-    }
-  }
-  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kProve), std::memory_order_relaxed);
-  const auto prove_start = SteadyClock::now();
-  Job* job_raw = job.get();  // the shared_ptr outlives CreateShardedProof
-  StatusOr<ShardedProof> proof = [&] {
-    obs::Span span("serve.prove");
-    return CreateShardedProof(sharded, input_q, job->cancel.get(),
-                              [job_raw](size_t done, size_t) {
-                                job_raw->shards_done.store(static_cast<uint32_t>(done),
-                                                           std::memory_order_relaxed);
-                              });
-  }();
-  const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
-  counters_->stage_prove->Record(prove_seconds);
-  // Shard-count-labelled prove series alongside the aggregate, so scaling is
-  // visible per shard count (e.g. serve.stage_seconds.prove.shards4).
-  obs::MetricsRegistry::Global()
-      .histogram("serve.stage_seconds.prove.shards" + std::to_string(num_shards),
-                 kStageSecondsBuckets)
-      .Record(prove_seconds);
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled ||
-        proof.status().code() == StatusCode::kDeadlineExceeded) {
-      fail_cancel(proof.status(), WireStage::kProve);
-    } else {
-      counters_->jobs_failed_internal.Inc();
-      fail(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    return;
-  }
-
-  if (!options_.report_dir.empty()) {
-    // Sharded jobs report the zkml.sharded_proof/v1 document instead of the
-    // single-circuit run report. Report I/O must never fail a proved job.
-    obs::Json doc = ShardedReportJson(sharded, *proof);
-    const std::string path =
-        options_.report_dir + "/job_" + std::to_string(job->id) + ".json";
-    std::ofstream out(path);
-    if (out) out << doc.DumpPretty() << "\n";
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kRespond), std::memory_order_relaxed);
-  const auto finished = SteadyClock::now();
-  job->response.proof = EncodeShardedProof(*proof);
-  job->response.instance = std::move(proof->instance);
-  job->response.output = proof->output_q.ToVector();
-  job->response.queue_micros = queue_micros;
-  job->response.prove_micros = MicrosBetween(started, finished);
-  job->response.cache_hit = cache_hit ? 1 : 0;
-  job->response.shards = static_cast<uint32_t>(num_shards);
-  job->ok = true;
-  counters_->jobs_completed.Inc();
-  counters_->job_seconds->Record(
-      std::chrono::duration<double>(finished - job->enqueued).count());
-}
-
-void ZkmlServer::ExecuteBatchedJob(const std::shared_ptr<Job>& job, const Model& model,
-                                   size_t batch, uint64_t queue_micros,
-                                   SteadyClock::time_point started) {
-  auto fail = [&](WireErrorCode code, WireStage stage, std::string message) {
-    job->ok = false;
-    job->error = {code, stage, std::move(message)};
-  };
-  auto fail_cancel = [&](const Status& s, WireStage stage) {
-    if (s.code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc();
-      fail(WireErrorCode::kCancelled, stage,
-           job->reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
-                                                       : s.message());
-    } else {
-      counters_->jobs_deadline_exceeded.Inc();
-      fail(WireErrorCode::kDeadlineExceeded, stage, s.message());
-    }
-  };
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kCompile), std::memory_order_relaxed);
-  const auto compile_start = SteadyClock::now();
-  // The batched circuit is a different circuit than the single-inference one
-  // (replicated advice regions, N-segment statement), so it caches under a
-  // batch-suffixed key next to the model's other compilations.
-  const std::string key = ModelHashHex(job->request.model_text) + ":batch" +
-                          std::to_string(batch) +
-                          (job->request.backend == 1 ? ":ipa" : ":kzg");
-  bool cache_hit = true;
-  StatusOr<std::shared_ptr<const CompiledModel>> compiled = [&] {
-    obs::Span span("serve.compile");
-    return cache_.GetOrCompile(key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-      cache_hit = false;
-      ZkmlOptions zo;
-      zo.backend = job->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-      zo.optimizer.backend = zo.backend;
-      zo.optimizer.min_columns = options_.optimizer_min_columns;
-      zo.optimizer.max_columns = options_.optimizer_max_columns;
-      zo.optimizer.max_k = options_.optimizer_max_k;
-      StatusOr<CompiledBatchedModel> cb = CompileBatched(model, batch, zo);
-      if (!cb.ok()) return cb.status();
-      return std::make_shared<const CompiledModel>(std::move(cb->compiled));
-    });
-  }();
-  counters_->stage_compile->Record(SecondsBetween(compile_start, SteadyClock::now()));
-  if (!compiled.ok()) {
-    counters_->jobs_failed_internal.Inc();
-    fail(WireErrorCode::kInternal, WireStage::kCompile, compiled.status().message());
-    return;
-  }
-  Status live = job->cancel->Check("compile");
-  if (!live.ok()) {
-    fail_cancel(live, WireStage::kCompile);
-    return;
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kWitness), std::memory_order_relaxed);
-  const auto witness_start = SteadyClock::now();
-  const Model& m = (*compiled)->model;
-  const size_t per = static_cast<size_t>(m.input_shape.NumElements());
-  std::vector<Tensor<int64_t>> inputs_q;
-  inputs_q.reserve(batch);
-  {
-    obs::Span span("serve.witness");
-    if (!job->request.input.empty()) {
-      // Explicit input carries batch x per elements, inference-major.
-      if (job->request.input.size() != batch * per) {
-        counters_->jobs_rejected_malformed.Inc();
-        fail(WireErrorCode::kInputMismatch, WireStage::kWitness,
-             "batched input has " + std::to_string(job->request.input.size()) +
-                 " elements, batch " + std::to_string(batch) + " of this model wants " +
-                 std::to_string(batch * per) + " (" + std::to_string(per) +
-                 " per inference)");
-        return;
-      }
-      for (size_t i = 0; i < batch; ++i) {
-        std::vector<int64_t> slice(job->request.input.begin() + static_cast<ptrdiff_t>(i * per),
-                                   job->request.input.begin() +
-                                       static_cast<ptrdiff_t>((i + 1) * per));
-        inputs_q.emplace_back(m.input_shape, std::move(slice));
-      }
-    } else {
-      // Synthetic inputs: one distinct draw per inference, seeded seed + i so
-      // the batch is reproducible but not N copies of one tensor.
-      for (size_t i = 0; i < batch; ++i) {
-        inputs_q.push_back(QuantizeTensor(SyntheticInput(m, job->request.seed + i), m.quant));
-      }
-    }
-  }
-  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kProve), std::memory_order_relaxed);
-  const auto prove_start = SteadyClock::now();
-  StatusOr<BatchedProof> proof = [&] {
-    obs::Span span("serve.prove");
-    return CreateBatchedProof(**compiled, inputs_q, job->cancel.get());
-  }();
-  const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
-  counters_->stage_prove->Record(prove_seconds);
-  // Batch-size-labelled prove series so amortization is visible per N.
-  obs::MetricsRegistry::Global()
-      .histogram("serve.stage_seconds.prove.batch" + std::to_string(batch),
-                 kStageSecondsBuckets)
-      .Record(prove_seconds);
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled ||
-        proof.status().code() == StatusCode::kDeadlineExceeded) {
-      fail_cancel(proof.status(), WireStage::kProve);
-    } else {
-      counters_->jobs_failed_internal.Inc();
-      fail(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    return;
-  }
-
-  if (!options_.report_dir.empty()) {
-    // Batched jobs report the zkml.batched_proof/v1 document. Report I/O must
-    // never fail a proved job.
-    obs::Json doc = BatchedReportJson(**compiled, *proof);
-    const std::string path =
-        options_.report_dir + "/job_" + std::to_string(job->id) + ".json";
-    std::ofstream out(path);
-    if (out) out << doc.DumpPretty() << "\n";
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kRespond), std::memory_order_relaxed);
-  const auto finished = SteadyClock::now();
-  job->response.proof = EncodeBatchedProof(*proof);
-  job->response.instance = std::move(proof->instance);
-  job->response.output.clear();
-  for (const Tensor<int64_t>& out_q : proof->outputs_q) {
-    const std::vector<int64_t> v = out_q.ToVector();
-    job->response.output.insert(job->response.output.end(), v.begin(), v.end());
-  }
-  job->response.queue_micros = queue_micros;
-  job->response.prove_micros = MicrosBetween(started, finished);
-  job->response.cache_hit = cache_hit ? 1 : 0;
-  job->response.shards = 1;
-  job->response.batch = static_cast<uint32_t>(batch);
-  job->ok = true;
-  counters_->jobs_completed.Inc();
-  counters_->job_seconds->Record(
-      std::chrono::duration<double>(finished - job->enqueued).count());
-}
-
-void ZkmlServer::ExecuteCoalescedJobs(const std::vector<std::shared_ptr<Job>>& group) {
-  const auto started = SteadyClock::now();
-  const size_t batch = group.size();
-  const std::shared_ptr<Job>& lead = group.front();
-  auto fail_all = [&](WireErrorCode code, WireStage stage, const std::string& message) {
-    for (const auto& job : group) {
-      job->ok = false;
-      job->error = {code, stage, message};
-    }
-  };
-  auto set_stage = [&](WireStage stage) {
-    for (const auto& job : group) {
+  // Validation fails members one at a time and drops them from `live`; from
+  // compile on, the members left succeed or fail together.
+  std::vector<std::shared_ptr<Job>> live;
+  const auto set_stage = [&](WireStage stage) {
+    for (const auto& job : live) {
       job->stage.store(static_cast<uint8_t>(stage), std::memory_order_relaxed);
     }
   };
-  auto log_jobs = [&](const std::vector<std::shared_ptr<Job>>& jobs) {
-    if (event_log_ == nullptr) return;
-    for (const auto& job : jobs) {
-      obs::Json fields = obs::Json::Object();
-      fields.Set("job_id", job->id);
-      fields.Set("request_id", job->request_id);
-      fields.Set("coalesced", static_cast<uint64_t>(batch));
-      fields.Set("elapsed_s", SecondsBetween(job->enqueued, SteadyClock::now()));
-      if (job->ok) {
-        LogEvent("job_completed", std::move(fields));
-      } else {
-        fields.Set("error", WireErrorCodeName(job->error.code));
-        fields.Set("stage", WireStageName(job->error.stage));
-        LogEvent("job_failed", std::move(fields));
-      }
-    }
+  const auto fail_live = [&](const Status& s, WireStage stage) {
+    for (const auto& job : live) fail_status(*job, s, stage);
   };
-  auto log_outcome = [&] { log_jobs(group); };
 
+  // A job whose budget evaporated in the queue is shed before any work.
   for (const auto& job : group) {
     counters_->stage_admission->Record(SecondsBetween(job->enqueued, started));
+    const Status s = job->cancel->Check("queue-wait");
+    if (s.ok()) {
+      live.push_back(job);
+    } else {
+      fail_status(*job, s, WireStage::kAdmission);
+    }
   }
+  if (live.empty()) return;
 
+  // Every member carries the lead's model text and backend, and only a solo
+  // job asks for shards or a batch (the claim rule).
+  const ProveRequest& shared = group.front()->request;
   set_stage(WireStage::kModelParse);
-  StatusOr<Model> model = DeserializeModel(lead->request.model_text);
+  const StatusOr<Model> model = DeserializeModel(shared.model_text);
   if (!model.ok()) {
-    counters_->jobs_rejected_malformed.Inc(batch);
-    fail_all(WireErrorCode::kMalformedModel, WireStage::kModelParse, model.status().message());
-    log_outcome();
+    for (const auto& job : live) {
+      fail(*job, WireErrorCode::kMalformedModel, WireStage::kModelParse, model.status().message());
+    }
     return;
   }
   const size_t per = static_cast<size_t>(model->input_shape.NumElements());
-  // A member whose explicit input is malformed is failed alone; the rest of
-  // the group still proves (the batched circuit is compiled for the survivor
-  // count, so nothing is wasted on the reject).
-  std::vector<std::shared_ptr<Job>> good;
-  good.reserve(batch);
-  for (const auto& job : group) {
-    if (!job->request.input.empty() && job->request.input.size() != per) {
-      counters_->jobs_rejected_malformed.Inc();
-      job->ok = false;
-      job->error = {WireErrorCode::kInputMismatch, WireStage::kWitness,
-                    "input has " + std::to_string(job->request.input.size()) +
-                        " elements, model wants " + std::to_string(per)};
-    } else {
-      good.push_back(job);
+  const auto invalid = [&](const std::shared_ptr<Job>& job) {
+    const ProveRequest& r = job->request;
+    if (r.batch > 1 && r.shards > 1) {
+      fail(*job, WireErrorCode::kMalformedRequest, WireStage::kModelParse,
+           "request asks for both sharded (" + std::to_string(r.shards) + ") and batched (" +
+               std::to_string(r.batch) + ") proving; pick one");
+      return true;
     }
-  }
-  if (good.size() < batch) {
-    // Group shrank: log the rejects here, then reprove what survives (a
-    // singleton falls back to the ordinary pipeline, which does its own
-    // logging; smaller groups recurse — terminating because every reject is
-    // final).
-    std::vector<std::shared_ptr<Job>> rejected;
-    for (const auto& job : group) {
-      if (std::find(good.begin(), good.end(), job) == good.end()) rejected.push_back(job);
+    if (r.input.empty()) return false;
+    if (r.batch > 1 && r.input.size() != r.batch * per) {
+      // An explicit batched input carries batch x per elements, inference-major.
+      fail(*job, WireErrorCode::kInputMismatch, WireStage::kWitness,
+           "batched input has " + std::to_string(r.input.size()) + " elements, batch " +
+               std::to_string(r.batch) + " of this model wants " +
+               std::to_string(r.batch * per) + " (" + std::to_string(per) +
+               " per inference)");
+      return true;
     }
-    log_jobs(rejected);
-    if (good.size() == 1) {
-      ExecuteJob(good.front());
-    } else if (good.size() > 1) {
-      ExecuteCoalescedJobs(good);
+    if (r.batch <= 1 && r.input.size() != per) {
+      fail(*job, WireErrorCode::kInputMismatch, WireStage::kWitness,
+           "input has " + std::to_string(r.input.size()) + " elements, model wants " +
+               std::to_string(per));
+      return true;
     }
-    return;
-  }
+    return false;
+  };
+  live.erase(std::remove_if(live.begin(), live.end(), invalid), live.end());
+  if (live.empty()) return;
+
+  // The plan. A sharding request on a model whose graph admits no cut runs
+  // the single circuit (shards = 1 in the response tells the client); a
+  // coalesced group proves one inference per member.
+  ProofPlan plan;
+  if (shared.shards > 1) plan.shards = ResolveShardCount(*model, shared.shards);
+  plan.batch = shared.batch > 1 ? shared.batch : live.size();
+  // The group proves under the token of its earliest deadline: the lead's,
+  // unless validation dropped the lead.
+  const CancelToken* cancel =
+      (*std::min_element(live.begin(), live.end(), [](const auto& a, const auto& b) {
+        return a->deadline_tp < b->deadline_tp;
+      }))->cancel.get();
 
   set_stage(WireStage::kCompile);
+  if (plan.shards > 1) {
+    for (const auto& job : live) {
+      job->shards_total.store(static_cast<uint32_t>(plan.shards), std::memory_order_relaxed);
+    }
+  }
   const auto compile_start = SteadyClock::now();
-  const std::string key = ModelHashHex(lead->request.model_text) + ":batch" +
-                          std::to_string(batch) +
-                          (lead->request.backend == 1 ? ":ipa" : ":kzg");
+  const ZkmlOptions zo = CompileOptions(options_, shared.backend);
+  const std::string model_hash = ModelHashHex(shared.model_text);
   bool cache_hit = true;
-  StatusOr<std::shared_ptr<const CompiledModel>> compiled = [&] {
+  const auto get_or_compile = [&](const std::string& variant, const auto& compile) {
+    return cache_.GetOrCompile(
+        CircuitKey(model_hash, variant, shared.backend),
+        [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
+          cache_hit = false;
+          ZKML_ASSIGN_OR_RETURN(CompiledModel c, compile());
+          return std::make_shared<const CompiledModel>(std::move(c));
+        });
+  };
+  std::shared_ptr<const CompiledModel> circuit;  // unsharded plans
+  CompiledShardedModel sharded;                  // sharded plans
+  const Status compiled = [&]() -> Status {
     obs::Span span("serve.compile");
-    return cache_.GetOrCompile(key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-      cache_hit = false;
-      ZkmlOptions zo;
-      zo.backend = lead->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-      zo.optimizer.backend = zo.backend;
-      zo.optimizer.min_columns = options_.optimizer_min_columns;
-      zo.optimizer.max_columns = options_.optimizer_max_columns;
-      zo.optimizer.max_k = options_.optimizer_max_k;
-      StatusOr<CompiledBatchedModel> cb = CompileBatched(*model, batch, zo);
-      if (!cb.ok()) return cb.status();
-      return std::make_shared<const CompiledModel>(std::move(cb->compiled));
-    });
+    if (plan.shards == 1) {
+      const std::string variant = plan.batch > 1 ? ":batch" + std::to_string(plan.batch) : "";
+      ZKML_ASSIGN_OR_RETURN(
+          circuit, get_or_compile(variant, [&]() -> StatusOr<CompiledModel> {
+            if (plan.batch == 1) return CompileModel(*model, zo);
+            ZKML_ASSIGN_OR_RETURN(CompiledBatchedModel cb, CompileBatched(*model, plan.batch, zo));
+            return std::move(cb.compiled);
+          }));
+      return cancel->Check("compile");
+    }
+    // Each shard's circuit is cached on its own, so repeat sharded jobs (and
+    // jobs at the same shard count from other connections) reuse every
+    // per-shard compilation.
+    ZKML_ASSIGN_OR_RETURN(sharded.partition, PartitionModel(*model, plan.shards));
+    sharded.model = *model;
+    sharded.backend = zo.backend;
+    sharded.shards.resize(plan.shards);
+    for (size_t i = 0; i < plan.shards; ++i) {
+      const std::string shard = std::to_string(i) + "/" + std::to_string(plan.shards);
+      StatusOr<std::shared_ptr<const CompiledModel>> c =
+          get_or_compile(":shard" + shard, [&]() -> StatusOr<CompiledModel> {
+            return CompileModel(sharded.partition.shards[i].model, zo);
+          });
+      if (!c.ok()) return InternalError("shard " + shard + ": " + c.status().message());
+      sharded.shards[i] = std::move(*c);
+      ZKML_RETURN_IF_ERROR(cancel->Check("compile"));
+    }
+    return Status::Ok();
   }();
-  counters_->stage_compile->Record(SecondsBetween(compile_start, SteadyClock::now()));
+  const double compile_seconds = SecondsBetween(compile_start, SteadyClock::now());
+  counters_->stage_compile->Record(compile_seconds);
+  sharded.compile_seconds = compile_seconds;  // the sharded report carries it
   if (!compiled.ok()) {
-    counters_->jobs_failed_internal.Inc(batch);
-    fail_all(WireErrorCode::kInternal, WireStage::kCompile, compiled.status().message());
-    log_outcome();
+    fail_live(compiled, WireStage::kCompile);
     return;
   }
 
+  // One input per inference, in member order: an explicit input splits
+  // inference-major into per-element slices; a synthetic one draws seed + i
+  // for inference i, so a batch is reproducible but not N copies of one tensor.
   set_stage(WireStage::kWitness);
-  const Model& m = (*compiled)->model;
+  const auto witness_start = SteadyClock::now();
   std::vector<Tensor<int64_t>> inputs_q;
-  inputs_q.reserve(batch);
-  for (const auto& job : group) {
-    if (!job->request.input.empty()) {
-      inputs_q.emplace_back(m.input_shape, job->request.input);
-    } else {
-      inputs_q.push_back(QuantizeTensor(SyntheticInput(m, job->request.seed), m.quant));
+  {
+    obs::Span span("serve.witness");
+    for (const auto& job : live) {
+      const ProveRequest& r = job->request;
+      for (size_t i = 0; i < std::max<size_t>(r.batch, 1); ++i) {
+        if (r.input.empty()) {
+          inputs_q.push_back(QuantizeTensor(SyntheticInput(*model, r.seed + i), model->quant));
+        } else {
+          const auto slice = r.input.begin() + static_cast<ptrdiff_t>(i * per);
+          inputs_q.emplace_back(model->input_shape,
+                                std::vector<int64_t>(slice, slice + static_cast<ptrdiff_t>(per)));
+        }
+      }
     }
   }
+  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
 
-  // The lead job's token drives cancellation: it holds the oldest budget in
-  // the group, so a deadline that fires first fires there.
   set_stage(WireStage::kProve);
   const auto prove_start = SteadyClock::now();
-  StatusOr<BatchedProof> proof = [&] {
+  const bool want_report = !options_.report_dir.empty();
+  std::vector<uint8_t> artifact;
+  std::vector<Fr> instance;
+  std::vector<Tensor<int64_t>> outputs_q;  // one per inference, in input order
+  obs::Json report;
+  Job* progress = live.front().get();  // `live` outlives CreateShardedProof
+  const Status proved = [&]() -> Status {
     obs::Span span("serve.prove");
-    return CreateBatchedProof(**compiled, inputs_q, lead->cancel.get());
+    if (plan.shards > 1) {
+      ZKML_ASSIGN_OR_RETURN(
+          ShardedProof p,
+          CreateShardedProof(sharded, inputs_q.front(), cancel, [progress](size_t done, size_t) {
+            progress->shards_done.store(static_cast<uint32_t>(done), std::memory_order_relaxed);
+          }));
+      if (want_report) report = ShardedReportJson(sharded, p);
+      artifact = EncodeShardedProof(p);
+      instance = std::move(p.instance);
+      outputs_q.push_back(std::move(p.output_q));
+    } else if (plan.batch > 1) {
+      ZKML_ASSIGN_OR_RETURN(BatchedProof p, CreateBatchedProof(*circuit, inputs_q, cancel));
+      if (want_report) report = BatchedReportJson(*circuit, p);
+      artifact = EncodeBatchedProof(p);
+      instance = std::move(p.instance);
+      outputs_q = std::move(p.outputs_q);
+    } else {
+      ZKML_ASSIGN_OR_RETURN(ZkmlProof p, ProveCancellable(*circuit, inputs_q.front(), cancel));
+      if (want_report) report = BuildRunReport(*circuit, p, 0.0, circuit->model.name).ToJson();
+      artifact = std::move(p.bytes);
+      instance = std::move(p.instance);
+      outputs_q.push_back(std::move(p.output_q));
+    }
+    return Status::Ok();
   }();
   const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
   counters_->stage_prove->Record(prove_seconds);
-  obs::MetricsRegistry::Global()
-      .histogram("serve.stage_seconds.prove.batch" + std::to_string(batch),
-                 kStageSecondsBuckets)
-      .Record(prove_seconds);
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc(batch);
-      fail_all(WireErrorCode::kCancelled, WireStage::kProve,
-               lead->reaped.load(std::memory_order_relaxed)
-                   ? "reaped by watchdog: " + proof.status().message()
-                   : proof.status().message());
-    } else if (proof.status().code() == StatusCode::kDeadlineExceeded) {
-      counters_->jobs_deadline_exceeded.Inc(batch);
-      fail_all(WireErrorCode::kDeadlineExceeded, WireStage::kProve, proof.status().message());
-    } else {
-      counters_->jobs_failed_internal.Inc(batch);
-      fail_all(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    log_outcome();
+  // Plan-labelled prove series next to the aggregate, so scaling shows per
+  // shard count and amortization per batch size (e.g.
+  // serve.stage_seconds.prove.shards4, serve.stage_seconds.prove.batch4).
+  if (plan.shards > 1 || plan.batch > 1) {
+    const std::string label = plan.shards > 1 ? "shards" + std::to_string(plan.shards)
+                                               : "batch" + std::to_string(plan.batch);
+    obs::MetricsRegistry::Global()
+        .histogram("serve.stage_seconds.prove." + label, kStageSecondsBuckets)
+        .Record(prove_seconds);
+  }
+  if (!proved.ok()) {
+    fail_live(proved, WireStage::kProve);
     return;
   }
 
-  if (!options_.report_dir.empty()) {
-    obs::Json doc = BatchedReportJson(**compiled, *proof);
-    doc.Set("coalesced", static_cast<uint64_t>(batch));
-    const std::string path =
-        options_.report_dir + "/job_" + std::to_string(lead->id) + ".json";
-    std::ofstream out(path);
-    if (out) out << doc.DumpPretty() << "\n";
+  // One report per proof, named after the first member's job id: the run
+  // report, or the sharded/batched artifact document. Report I/O must never
+  // fail a proved job.
+  if (want_report) {
+    if (group.size() > 1) report.Set("coalesced", static_cast<uint64_t>(group.size()));
+    std::ofstream out(options_.report_dir + "/job_" + std::to_string(live.front()->id) + ".json");
+    if (out) out << report.DumpPretty() << "\n";
   }
 
-  // Every member gets the shared artifact and the full concatenated
-  // statement (both are needed to verify), plus its own inference's output.
+  // Every member gets the shared artifact and the full statement (both are
+  // needed to verify), plus the outputs of its own inferences.
   set_stage(WireStage::kRespond);
   const auto finished = SteadyClock::now();
-  const std::vector<uint8_t> artifact = EncodeBatchedProof(*proof);
-  for (size_t i = 0; i < group.size(); ++i) {
-    const std::shared_ptr<Job>& job = group[i];
-    job->response.proof = artifact;
-    job->response.instance = proof->instance;
-    job->response.output = proof->outputs_q[i].ToVector();
-    job->response.queue_micros = MicrosBetween(job->enqueued, started);
-    job->response.prove_micros = MicrosBetween(started, finished);
-    job->response.cache_hit = cache_hit ? 1 : 0;
-    job->response.shards = 1;
-    job->response.batch = static_cast<uint32_t>(batch);
+  auto output = outputs_q.begin();
+  for (const auto& job : live) {
+    ProveResponse& resp = job->response;
+    resp.proof = artifact;
+    resp.instance = instance;
+    for (size_t i = 0; i < std::max<size_t>(job->request.batch, 1); ++i, ++output) {
+      const std::vector<int64_t> v = output->ToVector();
+      resp.output.insert(resp.output.end(), v.begin(), v.end());
+    }
+    resp.queue_micros = MicrosBetween(job->enqueued, started);
+    resp.prove_micros = MicrosBetween(started, finished);
+    resp.cache_hit = cache_hit ? 1 : 0;
+    resp.shards = static_cast<uint32_t>(plan.shards);
+    resp.batch = plan.batch > 1 ? static_cast<uint32_t>(plan.batch) : 0;
     job->ok = true;
-    counters_->job_seconds->Record(
-        std::chrono::duration<double>(finished - job->enqueued).count());
+    counters_->jobs_completed.Inc();
+    counters_->job_seconds->Record(SecondsBetween(job->enqueued, finished));
   }
-  counters_->jobs_completed.Inc(batch);
-  log_outcome();
-}
-
-void ZkmlServer::WriteJobReport(const Job& job, const CompiledModel& compiled,
-                                const ZkmlProof& proof) {
-  obs::RunReport report = BuildRunReport(compiled, proof, 0.0, compiled.model.name);
-  const std::string path = options_.report_dir + "/job_" + std::to_string(job.id) + ".json";
-  // Report I/O must never fail a job that proved successfully.
-  const Status ignored = report.WriteFile(path);
-  (void)ignored;
 }
 
 void ZkmlServer::WatchdogLoop() {

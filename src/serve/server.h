@@ -67,10 +67,11 @@ struct ServeOptions {
 
   // Request coalescing: a worker that dequeues a single-inference job may
   // also claim up to coalesce_max - 1 compatible queued jobs (same model,
-  // same backend, unsharded, wire v3+) and prove them all in ONE batched
-  // circuit; each client gets the shared zkml.batched_proof/v1 artifact plus
-  // its own output. 1 disables (the default — coalescing trades per-job
-  // latency for aggregate throughput, an operator decision).
+  // same backend, unsharded, wire v3+, deadline no earlier than the first
+  // job's) and prove them all in ONE batched circuit; each client gets the
+  // shared zkml.batched_proof/v1 artifact plus its own output. 1 disables
+  // (the default — coalescing trades per-job latency for aggregate
+  // throughput, an operator decision).
   size_t coalesce_max = 1;
 
   // Optimizer envelope used when compiling models (mirrors the CLI).
@@ -156,25 +157,14 @@ class ZkmlServer {
   void WorkerLoop(int worker_index);
   void WatchdogLoop();
 
-  // Runs one job to completion (the worker body). Fills job->response/error.
-  // ExecuteJob wraps ExecuteJobInner with trace sampling and event emission.
-  void ExecuteJob(const std::shared_ptr<Job>& job);
-  void ExecuteJobInner(const std::shared_ptr<Job>& job);
-  // Sharded-prove pipeline (request.shards > 1 and the model admits cuts):
-  // per-shard compilations flow through the cache under shard-suffixed keys,
-  // and the response carries a zkml.sharded_proof/v1 artifact.
-  void ExecuteShardedJob(const std::shared_ptr<Job>& job, const Model& model,
-                         size_t num_shards, uint64_t queue_micros,
-                         std::chrono::steady_clock::time_point started);
-  // Batched-prove pipeline (request.batch > 1): one circuit proves `batch`
-  // inferences; the compilation is cached under a batch-suffixed key and the
-  // response carries a zkml.batched_proof/v1 artifact.
-  void ExecuteBatchedJob(const std::shared_ptr<Job>& job, const Model& model, size_t batch,
-                         uint64_t queue_micros, std::chrono::steady_clock::time_point started);
-  // Coalesced group (all jobs share one model/backend): proves every job's
-  // inference in one batched circuit and fans the shared artifact back out.
-  // Fills each job's response/error; the caller still owns promise delivery.
-  void ExecuteCoalescedJobs(const std::vector<std::shared_ptr<Job>>& group);
+  // Runs one claimed group (a solo job is a group of one) to completion and
+  // fills every member's response/error; the caller still owns promise
+  // delivery. ExecuteGroup wraps ProveGroup with trace sampling and one
+  // event per member.
+  void ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group);
+  // The one job path: validate each member, resolve the plan (shards, batch),
+  // compile through the cache, build the witness, prove, report, respond.
+  void ProveGroup(const std::vector<std::shared_ptr<Job>>& group);
 
   // Queue admission; null with *err filled (OVERLOADED / SHUTTING_DOWN) when
   // the job was not accepted.
@@ -190,7 +180,6 @@ class ZkmlServer {
                  uint8_t version = kWireVersion);
 
   void PublishMetrics();
-  void WriteJobReport(const Job& job, const CompiledModel& compiled, const ZkmlProof& proof);
 
   // Ops plane: admin route registration, rate sampling, event emission.
   Status StartAdmin();

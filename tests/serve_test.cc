@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "src/layers/quant_executor.h"
 #include "src/model/serialize.h"
 #include "src/model/zoo.h"
+#include "src/obs/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"
 #include "src/zkml/batched.h"
@@ -471,9 +475,13 @@ TEST(ServeTest, BatchedProveReturnsVerifiableArtifact) {
 }
 
 TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
+  const std::string event_log = ::testing::TempDir() + "/serve_test_coalesce_events.jsonl";
+  std::remove(event_log.c_str());
   ServeOptions options = FastServe();
   options.num_workers = 1;   // everything funnels through one worker
   options.coalesce_max = 4;  // it may claim up to 3 queued compatible jobs
+  options.trace_sample_every = 1;
+  options.event_log_path = event_log;
   ZkmlServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -540,6 +548,182 @@ TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
                                                results[0]->response.proof);
   EXPECT_TRUE(v.ok()) << v.ToString();
   EXPECT_EQ(server.stats().jobs_completed, 4u);
+
+  // Every member was trace-sampled like a solo job: /tracez holds one entry
+  // per job (the head plus three members), each with the serve-stage spans.
+  EXPECT_EQ(server.trace_ring().added(), 4u);
+  size_t member_traces = 0;
+  for (const obs::Json& trace : server.trace_ring().Snapshot()) {
+    const uint64_t request_id = trace.Find("request_id")->AsUint();
+    if (request_id < 10 || request_id > 12) continue;
+    ++member_traces;
+    EXPECT_EQ(trace.Find("outcome")->AsString(), "ok");
+    bool has_prove_span = false;
+    for (const obs::Json& span : trace.Find("spans")->items()) {
+      has_prove_span = has_prove_span || span.Find("name")->AsString() == "serve.prove";
+    }
+    EXPECT_TRUE(has_prove_span) << "member " << request_id;
+  }
+  EXPECT_EQ(member_traces, 3u);
+  server.Stop();
+
+  // Each member logged exactly one job_completed naming its group size.
+  std::ifstream in(event_log);
+  ASSERT_TRUE(in.good());
+  std::map<uint64_t, int> completed;  // request id -> job_completed events
+  for (std::string line; std::getline(in, line);) {
+    StatusOr<obs::Json> event = obs::Json::Parse(line);
+    ASSERT_TRUE(event.ok()) << event.status().ToString() << "\n" << line;
+    const obs::Json* request_id = event->Find("request_id");
+    if (request_id == nullptr || request_id->AsUint() < 10) continue;
+    if (event->Find("event")->AsString() == "job_admitted") continue;
+    EXPECT_EQ(event->Find("event")->AsString(), "job_completed") << line;
+    const obs::Json* coalesced = event->Find("coalesced");
+    ASSERT_NE(coalesced, nullptr) << line;
+    EXPECT_EQ(coalesced->AsUint(), 3u) << line;
+    ++completed[request_id->AsUint()];
+  }
+  EXPECT_EQ(completed, (std::map<uint64_t, int>{{10, 1}, {11, 1}, {12, 1}}));
+}
+
+// Sample count of one process-global histogram (0 before it is registered).
+uint64_t HistogramCount(const std::string& name) {
+  for (const auto& [hname, h] : obs::MetricsRegistry::Global().Snapshot().histograms) {
+    if (hname == name) return h.count;
+  }
+  return 0;
+}
+
+TEST(ServeTest, CoalescedMemberWithBadInputFailsAloneAndTheRestProve) {
+  ServeOptions options = FastServe();
+  options.num_workers = 1;
+  options.coalesce_max = 4;
+  ZkmlServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const uint64_t admissions_before = HistogramCount("serve.stage_seconds.admission");
+
+  const Model model = MakeMnistCnn();
+  // The head job holds the single worker in a cold compile while the group
+  // queues behind it.
+  StatusOr<ZkmlClient::ProveOutcome> head_result = InternalError("unset");
+  std::thread head([&] {
+    ZkmlClient c = MustConnect(server);
+    ProveRequest req;
+    req.model_text = MnistText();
+    req.seed = 100;
+    head_result = c.Prove(req, 1, kProveWaitMs);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  // Members 0 and 2 carry valid inputs; member 1's input has the wrong
+  // length and must fail alone while the other two still prove together.
+  std::vector<Tensor<int64_t>> inputs;
+  for (uint64_t i = 0; i < 3; ++i) {
+    inputs.push_back(QuantizeTensor(SyntheticInput(model, 101 + i), model.quant));
+  }
+  std::vector<StatusOr<ZkmlClient::ProveOutcome>> results(3, InternalError("unset"));
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.emplace_back([&, i] {
+      ZkmlClient c = MustConnect(server);
+      ProveRequest req;
+      req.model_text = MnistText();
+      req.input = inputs[static_cast<size_t>(i)].ToVector();
+      if (i == 1) req.input.pop_back();
+      results[static_cast<size_t>(i)] = c.Prove(req, static_cast<uint64_t>(i) + 10, kProveWaitMs);
+    });
+  }
+  head.join();
+  for (auto& t : clients) t.join();
+  ASSERT_TRUE(head_result.ok() && head_result->ok);
+
+  ASSERT_TRUE(results[1].ok()) << results[1].status().ToString();
+  ASSERT_FALSE(results[1]->ok);
+  EXPECT_EQ(results[1]->error.code, WireErrorCode::kInputMismatch);
+  EXPECT_EQ(results[1]->error.stage, WireStage::kWitness);
+
+  for (int i : {0, 2}) {
+    const auto& r = results[static_cast<size_t>(i)];
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->ok) << r->error.ToString();
+    EXPECT_EQ(r->response.batch, 2u) << "member " << i;
+    EXPECT_TRUE(LooksLikeBatchedProof(r->response.proof));
+    EXPECT_EQ(r->response.output,
+              RunQuantized(model, inputs[static_cast<size_t>(i)]).ToVector());
+  }
+  EXPECT_EQ(results[0]->response.proof, results[2]->response.proof);
+
+  ZkmlOptions zo;
+  zo.backend = PcsKind::kKzg;
+  zo.optimizer.min_columns = 10;
+  zo.optimizer.max_columns = 26;
+  zo.optimizer.max_k = 14;
+  const StatusOr<CompiledBatchedModel> compiled = CompileBatched(model, 2, zo);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const VerifyResult v = VerifyBatchedDetailed(*compiled, results[0]->response.instance,
+                                               results[0]->response.proof);
+  EXPECT_TRUE(v.ok()) << v.ToString();
+
+  // Queue wait is recorded once per job: the head plus three members.
+  EXPECT_EQ(HistogramCount("serve.stage_seconds.admission") - admissions_before, 4u);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.jobs_completed, 3u);
+  EXPECT_EQ(stats.jobs_rejected_malformed, 1u);
+  server.Stop();
+}
+
+TEST(ServeTest, CoalescingSkipsJobsThatExpireBeforeTheLead) {
+  ServeOptions options = FastServe();
+  options.num_workers = 1;
+  options.coalesce_max = 4;
+  ZkmlServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  StatusOr<ZkmlClient::ProveOutcome> head_result = InternalError("unset");
+  std::thread head([&] {
+    ZkmlClient c = MustConnect(server);
+    ProveRequest req;
+    req.model_text = MnistText();
+    req.seed = 110;
+    head_result = c.Prove(req, 1, kProveWaitMs);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  // The lead (default 60 s budget) queues first. Behind it, one job with a
+  // longer budget may join its group; one with a 200 ms budget would expire
+  // long before the lead's token fires, so it must not be claimed.
+  const uint32_t deadlines_ms[3] = {0, 200, 120000};
+  std::vector<StatusOr<ZkmlClient::ProveOutcome>> results(3, InternalError("unset"));
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.emplace_back([&, i] {
+      ZkmlClient c = MustConnect(server);
+      ProveRequest req;
+      req.model_text = MnistText();
+      req.seed = 111 + static_cast<uint64_t>(i);
+      req.deadline_ms = deadlines_ms[i];
+      results[static_cast<size_t>(i)] = c.Prove(req, static_cast<uint64_t>(i) + 10, kProveWaitMs);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // admission order
+  }
+  head.join();
+  for (auto& t : clients) t.join();
+  ASSERT_TRUE(head_result.ok() && head_result->ok);
+
+  for (int i : {0, 2}) {
+    const auto& r = results[static_cast<size_t>(i)];
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->ok) << r->error.ToString();
+    EXPECT_EQ(r->response.batch, 2u) << "job " << i << " was not coalesced with the lead";
+  }
+  // The short-budget job stayed queued and was shed when its turn came; it
+  // was never answered with a proof made after its deadline.
+  const auto& doomed = results[1];
+  ASSERT_TRUE(doomed.ok()) << doomed.status().ToString();
+  ASSERT_FALSE(doomed->ok) << "a job past its deadline was answered OK";
+  EXPECT_EQ(doomed->error.code, WireErrorCode::kDeadlineExceeded) << doomed->error.ToString();
+  EXPECT_EQ(doomed->error.stage, WireStage::kAdmission);
+  EXPECT_EQ(server.stats().jobs_deadline_exceeded, 1u);
   server.Stop();
 }
 
